@@ -55,31 +55,62 @@ fn same_seed_reproduces_identical_timeline() {
     );
 }
 
+/// The two-crash plan: one cache controller and one memory module crash
+/// mid-run, each losing in-memory state; the driver restores the
+/// checkpoint and replays the logged deliveries.
+fn crash_cfg(scheme: &str) -> RunConfig {
+    let mut cfg = RunConfig::quick(scheme, 0xBEEF);
+    cfg.refs_per_client = 60;
+    cfg.faults.jitter = 4;
+    cfg.faults.checkpoint_every = 150;
+    cfg.faults.crashes = vec![
+        Crash {
+            at: 260,
+            node: Actor::Cache(1),
+            down_for: 80,
+        },
+        Crash {
+            at: 420,
+            node: Actor::Module(0),
+            down_for: 80,
+        },
+    ];
+    cfg
+}
+
 #[test]
 fn crash_and_restart_resumes_all_schemes() {
     for scheme in SCHEMES {
-        let mut cfg = RunConfig::quick(scheme, 0xBEEF);
-        cfg.refs_per_client = 60;
-        cfg.faults.jitter = 4;
-        cfg.faults.checkpoint_every = 150;
-        // One cache controller and one memory module crash mid-run, each
-        // losing in-memory state; the driver restores the checkpoint and
-        // replays the logged deliveries.
-        cfg.faults.crashes = vec![
-            Crash {
-                at: 260,
-                node: Actor::Cache(1),
-                down_for: 80,
-            },
-            Crash {
-                at: 420,
-                node: Actor::Module(0),
-                down_for: 80,
-            },
-        ];
-        let report = run(&cfg).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        let report = run(&crash_cfg(scheme)).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert_eq!(report.total_refs, 240, "{scheme}");
         assert_eq!(report.recoveries, 2, "{scheme}: both crashes must fire");
+    }
+}
+
+/// The same plan over real children: each crash kills the child,
+/// deregisters its connection and spawns a replacement, over stdio pipes
+/// and over TCP. The run stays linearizable (`run` fails otherwise) and
+/// its merged timeline is byte-identical to the in-process crash run.
+#[test]
+fn crash_and_restart_over_real_children_matches_in_proc() {
+    let inproc = run(&crash_cfg("two-bit")).unwrap();
+    for mode in [
+        Mode::Process {
+            node_bin: node_bin(),
+        },
+        Mode::Tcp {
+            node_bin: node_bin(),
+        },
+    ] {
+        let mut cfg = crash_cfg("two-bit");
+        cfg.mode = mode.clone();
+        let report = run(&cfg).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert_eq!(report.total_refs, 240, "{mode:?}");
+        assert_eq!(report.recoveries, 2, "{mode:?}: both crashes must fire");
+        assert_eq!(
+            report.timeline, inproc.timeline,
+            "{mode:?}: hosting mode must not affect the crash run"
+        );
     }
 }
 

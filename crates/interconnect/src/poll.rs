@@ -1,44 +1,62 @@
-//! Multiplexed, poll-based message I/O for the distributed driver.
+//! Multiplexed message I/O for the distributed driver.
 //!
 //! [`super::transport`] gives the fleet its framing: one JSON document
-//! per `\n`-terminated line over a byte stream. What it cannot give the
-//! driver is *concurrency*: a [`super::transport::Transport`] is a
-//! blocking request/response pipe, so a driver built on it can only keep
-//! one exchange in flight and its wall-clock is the sum of every
-//! round-trip in the run. This module is the other half: a
-//! [`PollTransport`] owns **all** node connections at once, so a single
-//! driver thread can start many exchanges, let the replies arrive in
-//! whatever order the OS produces them, and still *consume* them in a
-//! deterministic order of its own choosing (the property DESIGN.md §9
-//! leans on).
+//! per `\n`-terminated line over a byte stream. A
+//! [`super::transport::Transport`] is one blocking request/response
+//! pipe, so a driver built on it keeps one exchange in flight and its
+//! wall clock is the sum of every round trip. A [`PollTransport`] owns
+//! **all** node connections at once, so a single driver thread can start
+//! many exchanges, let the peers compute concurrently, and still
+//! *consume* the replies in a deterministic order of its own choosing
+//! (the property DESIGN.md §9 leans on).
 //!
 //! # Model
 //!
 //! * **Registration** hands a connection to the transport and returns a
-//!   [`Token`]. TCP streams are switched to non-blocking mode and polled
-//!   directly; pipe-like streams (a child's stdout, which `std` cannot
-//!   make non-blocking without raw fd calls) are pumped by a small
-//!   reader thread into a channel the poll loop drains without blocking.
-//!   Either way the *driver* thread never blocks on a single peer.
-//! * **Readiness polling** ([`PollTransport::poll_once`]) makes one
-//!   non-blocking pass over every connection: drain available bytes,
-//!   split complete frames into per-connection buffers, flush any
-//!   back-pressured writes.
-//! * **Per-connection frame buffers** decouple arrival order from
-//!   consumption order: a frame that arrives for connection B while the
-//!   driver waits on connection A is buffered, not lost and not
-//!   reordered. [`PollTransport::recv_deadline`] serves from the buffer
-//!   first and only then polls.
+//!   [`Token`]. A TCP stream stays in blocking mode and is read
+//!   directly. A pipe-like stream (a child's stdout, for which `std`
+//!   offers no read timeout) is read by a small pump thread that
+//!   forwards each chunk into a channel of its own.
+//! * **Sends** are one blocking `write_all` per frame.
+//! * **Waits are per connection.** [`PollTransport::recv_deadline`]
+//!   blocks on the awaited connection only: a `read` bounded by the
+//!   socket's read timeout, or a `recv_timeout` on the pump channel. It
+//!   wakes when that connection produces bytes, reaches EOF, or runs out
+//!   of time, and on nothing else.
 //!
-//! Reads that would block are simply retried on the next poll; a peer
-//! that never answers surfaces as the typed [`PollError::Timeout`]
-//! rather than a hung driver.
+//! Waiting on one connection loses nothing. The driver consumes replies
+//! in its own `seq` order, and each connection is FIFO: a reply for
+//! another connection waits in that connection's kernel socket buffer or
+//! pump channel, neither lost nor reordered, until the driver asks for
+//! it. Bytes are split into frames per connection, so a fragment is never
+//! spliced into another connection's frame.
+//!
+//! Blocking writes cannot deadlock a driver that keeps at most one batch
+//! outstanding per node, as `twobit-dist`'s does. A node reads one
+//! request, writes one reply and reads again. Over pipes the pump thread
+//! drains the node's stdout whether or not the driver is waiting, so the
+//! node never stalls on a reply and always returns to read the next
+//! request. Over TCP one batch is a few small frames each way, far below
+//! the socket buffers, so neither side's write can fill them before the
+//! driver starts reading.
+//!
+//! A peer that never answers surfaces as the typed [`PollError::Timeout`]
+//! rather than a hung driver, and a peer that sends more than
+//! [`MAX_FRAME_LEN`] bytes without a `\n` as [`PollError::FrameTooLong`]
+//! rather than an input buffer grown without bound.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
+
+/// The longest frame a peer may send, in bytes, excluding its `\n`.
+///
+/// A checkpoint (`CheckpointOk`, and the `Restore` that echoes it) is
+/// the largest frame the fleet sends; it grows by about 50 bytes per
+/// completed client transaction, so 16 MiB holds some 300,000 of them.
+pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Identifies one registered connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +70,12 @@ pub enum PollError {
         /// How long the call waited before giving up.
         waited: Duration,
     },
+    /// The peer sent more than [`MAX_FRAME_LEN`] bytes without ending
+    /// the frame. The connection is unusable afterwards.
+    FrameTooLong {
+        /// How many bytes of the frame had arrived.
+        len: usize,
+    },
     /// The underlying stream failed.
     Io(io::Error),
     /// The token does not name a live registration.
@@ -63,6 +87,9 @@ impl std::fmt::Display for PollError {
         match self {
             PollError::Timeout { waited } => {
                 write!(f, "no frame within {} ms", waited.as_millis())
+            }
+            PollError::FrameTooLong { len } => {
+                write!(f, "frame of {len} bytes exceeds {MAX_FRAME_LEN}")
             }
             PollError::Io(e) => write!(f, "i/o error: {e}"),
             PollError::Unregistered => f.write_str("connection is not registered"),
@@ -80,146 +107,114 @@ impl From<io::Error> for PollError {
 
 /// Where a connection's inbound bytes come from.
 enum Feed {
-    /// A non-blocking TCP stream read directly by the poll loop.
+    /// A blocking TCP stream, read directly under a read timeout.
     Tcp(TcpStream),
-    /// A blocking byte stream pumped by a dedicated reader thread; the
-    /// poll loop drains the channel, never the stream.
+    /// A blocking byte stream read by a dedicated pump thread; waits
+    /// block on the thread's channel, never on the stream.
     Pumped(Receiver<io::Result<Vec<u8>>>),
-}
-
-/// Where a connection's outbound bytes go.
-enum Sink {
-    /// Non-blocking; short writes park the remainder in `outbuf`.
-    Tcp(TcpStream),
-    /// Blocking writer (child stdin). Frames are small and the peer is
-    /// a reader-first node loop, so blocking writes cannot deadlock.
-    Pipe(Box<dyn Write + Send>),
 }
 
 struct Conn {
     feed: Feed,
-    sink: Sink,
-    /// Raw inbound bytes not yet split at a `\n`.
+    /// The write half: a clone of the TCP stream, or the child's stdin.
+    sink: Box<dyn Write + Send>,
+    /// Inbound bytes after the last complete frame; never holds a `\n`.
     inbuf: Vec<u8>,
     /// Complete frames awaiting consumption.
     frames: VecDeque<String>,
-    /// Outbound bytes a non-blocking sink has not accepted yet.
-    outbuf: Vec<u8>,
     eof: bool,
 }
 
 impl Conn {
-    /// Splits every complete frame out of `inbuf`.
-    fn harvest(&mut self) -> io::Result<()> {
-        while let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') {
-            let rest = self.inbuf.split_off(pos + 1);
-            let mut line = std::mem::replace(&mut self.inbuf, rest);
-            line.pop(); // the '\n'
-            let frame = String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-            self.frames.push_back(frame);
+    fn new(feed: Feed, sink: Box<dyn Write + Send>) -> Self {
+        Conn {
+            feed,
+            sink,
+            inbuf: Vec::new(),
+            frames: VecDeque::new(),
+            eof: false,
         }
+    }
+
+    /// Waits up to `timeout` for the next inbound bytes and splits off
+    /// the frames they complete. Returns with nothing new on a timeout.
+    fn fill(&mut self, timeout: Duration) -> Result<(), PollError> {
+        let scanned = self.inbuf.len();
+        match &mut self.feed {
+            Feed::Tcp(stream) => {
+                stream.set_read_timeout(Some(timeout))?;
+                let mut chunk = [0u8; 8192];
+                match stream.read(&mut chunk) {
+                    Ok(0) => self.eof = true,
+                    Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock
+                                | io::ErrorKind::TimedOut
+                                | io::ErrorKind::Interrupted
+                        ) =>
+                    {
+                        return Ok(())
+                    }
+                    // A peer killed mid-exchange (crash injection)
+                    // resets rather than closes; treat it as EOF.
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionReset => self.eof = true,
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            Feed::Pumped(rx) => match rx.recv_timeout(timeout) {
+                Ok(Ok(chunk)) => self.inbuf.extend_from_slice(&chunk),
+                Ok(Err(e)) => return Err(e.into()),
+                Err(RecvTimeoutError::Timeout) => return Ok(()),
+                Err(RecvTimeoutError::Disconnected) => self.eof = true,
+            },
+        }
+        self.harvest(scanned)
+    }
+
+    /// Splits off every frame completed by the bytes from `scanned` on
+    /// (the bytes before it hold no `\n`), draining `inbuf` once.
+    fn harvest(&mut self, scanned: usize) -> Result<(), PollError> {
+        let mut start = 0;
+        let mut from = scanned;
+        while let Some(off) = self.inbuf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + off;
+            self.push_frame(start, end)?;
+            start = end + 1;
+            from = start;
+        }
+        self.inbuf.drain(..start);
         if self.eof && !self.inbuf.is_empty() {
             // A trailing unterminated line at EOF is delivered as a
             // final frame, matching `LineTransport::recv`.
-            let line = std::mem::take(&mut self.inbuf);
-            let frame = String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-            self.frames.push_back(frame);
+            self.push_frame(0, self.inbuf.len())?;
+            self.inbuf.clear();
+        }
+        if self.inbuf.len() > MAX_FRAME_LEN {
+            return Err(PollError::FrameTooLong {
+                len: self.inbuf.len(),
+            });
         }
         Ok(())
     }
 
-    /// One non-blocking intake pass. Returns whether new bytes arrived.
-    fn intake(&mut self) -> io::Result<bool> {
-        if self.eof {
-            return Ok(false);
+    fn push_frame(&mut self, start: usize, end: usize) -> Result<(), PollError> {
+        let line = &self.inbuf[start..end];
+        if line.len() > MAX_FRAME_LEN {
+            return Err(PollError::FrameTooLong { len: line.len() });
         }
-        let mut progressed = false;
-        match &mut self.feed {
-            Feed::Tcp(stream) => {
-                let mut chunk = [0u8; 8192];
-                loop {
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            self.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            self.inbuf.extend_from_slice(&chunk[..n]);
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        // A peer killed mid-exchange (crash injection)
-                        // resets rather than closes; treat it as EOF.
-                        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                            self.eof = true;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Feed::Pumped(rx) => loop {
-                match rx.try_recv() {
-                    Ok(Ok(chunk)) => {
-                        self.inbuf.extend_from_slice(&chunk);
-                        progressed = true;
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.eof = true;
-                        break;
-                    }
-                }
-            },
-        }
-        if progressed || self.eof {
-            self.harvest()?;
-        }
-        Ok(progressed)
-    }
-
-    /// Pushes buffered outbound bytes toward the sink.
-    fn flush_pending(&mut self) -> io::Result<()> {
-        match &mut self.sink {
-            Sink::Pipe(w) => {
-                if !self.outbuf.is_empty() {
-                    w.write_all(&self.outbuf)?;
-                    self.outbuf.clear();
-                }
-                w.flush()
-            }
-            Sink::Tcp(stream) => {
-                while !self.outbuf.is_empty() {
-                    match stream.write(&self.outbuf) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                "peer stopped accepting bytes",
-                            ))
-                        }
-                        Ok(n) => {
-                            self.outbuf.drain(..n);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            }
-        }
+        let frame = std::str::from_utf8(line)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
+        self.frames.push_back(frame.to_owned());
+        Ok(())
     }
 }
 
 /// One driver thread's window onto every node connection at once.
 ///
-/// See the module docs for the model. All methods are non-blocking
-/// except [`PollTransport::recv_deadline`], which bounds its wait and
-/// fails with the typed [`PollError::Timeout`].
+/// See the module docs for the model. [`PollTransport::recv_deadline`]
+/// bounds its wait and fails with the typed [`PollError::Timeout`].
 #[derive(Default)]
 pub struct PollTransport {
     conns: Vec<Option<Conn>>,
@@ -250,28 +245,20 @@ impl PollTransport {
             .ok_or(PollError::Unregistered)
     }
 
-    /// Registers a TCP connection, switching it to non-blocking mode.
+    /// Registers a TCP connection, in blocking mode with `TCP_NODELAY`.
     ///
     /// # Errors
     ///
-    /// Propagates `set_nonblocking`/`try_clone` failures.
+    /// Propagates `set_nonblocking`/`set_nodelay`/`try_clone` failures.
     pub fn register_tcp(&mut self, stream: TcpStream) -> io::Result<Token> {
-        stream.set_nonblocking(true)?;
+        stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
-        Ok(self.slot(Conn {
-            feed: Feed::Tcp(stream),
-            sink: Sink::Tcp(write_half),
-            inbuf: Vec::new(),
-            frames: VecDeque::new(),
-            outbuf: Vec::new(),
-            eof: false,
-        }))
+        Ok(self.slot(Conn::new(Feed::Tcp(stream), Box::new(write_half))))
     }
 
     /// Registers a pipe-like connection: `reader` is handed to a pump
-    /// thread (blocking reads never touch the poll loop), `writer` is
-    /// written directly.
+    /// thread, `writer` is written directly.
     pub fn register_pipe<R, W>(&mut self, reader: R, writer: W) -> Token
     where
         R: Read + Send + 'static,
@@ -279,14 +266,7 @@ impl PollTransport {
     {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || pump(reader, &tx));
-        self.slot(Conn {
-            feed: Feed::Pumped(rx),
-            sink: Sink::Pipe(Box::new(writer)),
-            inbuf: Vec::new(),
-            frames: VecDeque::new(),
-            outbuf: Vec::new(),
-            eof: false,
-        })
+        self.slot(Conn::new(Feed::Pumped(rx), Box::new(writer)))
     }
 
     /// Drops a registration (e.g. after killing the peer). Buffered
@@ -298,8 +278,7 @@ impl PollTransport {
         }
     }
 
-    /// Queues one frame toward the peer and pushes it as far as the
-    /// sink accepts without blocking.
+    /// Writes one frame to the peer, blocking until the sink takes it.
     ///
     /// # Errors
     ///
@@ -312,95 +291,45 @@ impl PollTransport {
             "a frame must be a single line; escape newlines in the payload"
         );
         let conn = self.conn_mut(t)?;
-        conn.outbuf.extend_from_slice(msg.as_bytes());
-        conn.outbuf.push(b'\n');
-        conn.flush_pending().map_err(PollError::Io)
+        conn.sink.write_all(&[msg.as_bytes(), b"\n"].concat())?;
+        conn.sink.flush()?;
+        Ok(())
     }
 
-    /// One readiness pass over every connection: drain available input,
-    /// split frames, flush back-pressured output. Returns `true` if any
-    /// connection produced new bytes.
-    ///
-    /// # Errors
-    ///
-    /// The first connection-level I/O error encountered.
-    pub fn poll_once(&mut self) -> io::Result<bool> {
-        let mut progressed = false;
-        for conn in self.conns.iter_mut().flatten() {
-            progressed |= conn.intake()?;
-            if !conn.outbuf.is_empty() {
-                conn.flush_pending()?;
-            }
-        }
-        Ok(progressed)
-    }
-
-    /// Whether a frame is already buffered for `t`.
-    #[must_use]
-    pub fn has_frame(&self, t: Token) -> bool {
-        self.conns
-            .get(t.0)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| !c.frames.is_empty())
-    }
-
-    /// Pops a buffered frame for `t` without polling.
-    pub fn try_recv(&mut self, t: Token) -> Option<String> {
-        self.conns
-            .get_mut(t.0)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.frames.pop_front())
-    }
-
-    /// Receives the next frame on `t`, polling **all** connections while
-    /// it waits (frames for other tokens are buffered, not dropped).
+    /// Receives the next frame on `t`, blocking on that connection alone
+    /// (other connections keep their bytes, in order, until asked).
     /// Returns `Ok(None)` at end-of-stream.
     ///
     /// # Errors
     ///
     /// [`PollError::Timeout`] if no frame (and no EOF) arrives within
-    /// `timeout`; I/O errors otherwise.
+    /// `timeout`; [`PollError::FrameTooLong`] for an over-long frame;
+    /// I/O errors otherwise.
     pub fn recv_deadline(
         &mut self,
         t: Token,
         timeout: Duration,
     ) -> Result<Option<String>, PollError> {
         let start = Instant::now();
-        let mut idle_passes: u32 = 0;
+        let conn = self.conn_mut(t)?;
         loop {
-            if let Some(frame) = self.conn_mut(t)?.frames.pop_front() {
+            if let Some(frame) = conn.frames.pop_front() {
                 return Ok(Some(frame));
             }
-            if self.conn_mut(t)?.eof {
+            if conn.eof {
                 return Ok(None);
             }
-            if self.poll_once()? {
-                idle_passes = 0;
-                continue;
-            }
-            if start.elapsed() >= timeout {
-                return Err(PollError::Timeout {
-                    waited: start.elapsed(),
-                });
-            }
-            // Spin briefly (replies usually land within microseconds),
-            // then back off so an idle wait does not burn a core.
-            idle_passes = idle_passes.saturating_add(1);
-            if idle_passes > 64 {
-                std::thread::sleep(Duration::from_micros(if idle_passes > 512 {
-                    500
-                } else {
-                    50
-                }));
-            } else {
-                std::hint::spin_loop();
+            let waited = start.elapsed();
+            match timeout.checked_sub(waited).filter(|r| !r.is_zero()) {
+                Some(remaining) => conn.fill(remaining)?,
+                None => return Err(PollError::Timeout { waited }),
             }
         }
     }
 }
 
 /// Body of a pipe pump thread: blocking reads forwarded as chunks until
-/// EOF or error; dropping the sender signals EOF to the poll loop.
+/// EOF or error; dropping the sender signals EOF to the waiting driver.
 fn pump<R: Read>(mut reader: R, tx: &Sender<io::Result<Vec<u8>>>) {
     let mut chunk = [0u8; 8192];
     loop {
@@ -454,6 +383,8 @@ mod tests {
         }
     }
 
+    const DEADLINE: Duration = Duration::from_secs(5);
+
     #[test]
     fn frames_multiplex_across_pipe_connections() {
         let mut poll = PollTransport::new();
@@ -464,19 +395,24 @@ mod tests {
         let a = poll.register_pipe(TestReader(rx_a), TestWriter(out_a));
         let b = poll.register_pipe(TestReader(rx_b), TestWriter(out_b));
 
-        // B's frames arrive first; a recv on A must buffer them, not
-        // lose them, and per-connection order must hold.
+        // B's frames arrive first; a wait on A must not lose them, and
+        // per-connection order must hold.
         in_b.send(b"b1\nb2\n".to_vec()).unwrap();
         in_a.send(b"a1\n".to_vec()).unwrap();
-        let got = poll
-            .recv_deadline(a, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
+        let got = poll.recv_deadline(a, DEADLINE).unwrap().unwrap();
         assert_eq!(got, "a1");
-        assert!(poll.has_frame(b));
-        assert_eq!(poll.try_recv(b).as_deref(), Some("b1"));
-        assert_eq!(poll.try_recv(b).as_deref(), Some("b2"));
-        assert_eq!(poll.try_recv(b), None);
+        assert_eq!(
+            poll.recv_deadline(b, DEADLINE).unwrap().as_deref(),
+            Some("b1")
+        );
+        assert_eq!(
+            poll.recv_deadline(b, DEADLINE).unwrap().as_deref(),
+            Some("b2")
+        );
+        assert!(matches!(
+            poll.recv_deadline(b, Duration::from_millis(20)),
+            Err(PollError::Timeout { .. })
+        ));
     }
 
     #[test]
@@ -488,12 +424,13 @@ mod tests {
         tx.send(b"{\"half\":".to_vec()).unwrap();
         tx.send(b"1}\n{\"next\":2}\n".to_vec()).unwrap();
         assert_eq!(
-            poll.recv_deadline(t, Duration::from_secs(5))
-                .unwrap()
-                .as_deref(),
+            poll.recv_deadline(t, DEADLINE).unwrap().as_deref(),
             Some("{\"half\":1}")
         );
-        assert_eq!(poll.try_recv(t).as_deref(), Some("{\"next\":2}"));
+        assert_eq!(
+            poll.recv_deadline(t, DEADLINE).unwrap().as_deref(),
+            Some("{\"next\":2}")
+        );
     }
 
     #[test]
@@ -521,12 +458,10 @@ mod tests {
         tx.send(b"last-without-newline".to_vec()).unwrap();
         drop(tx);
         assert_eq!(
-            poll.recv_deadline(t, Duration::from_secs(5))
-                .unwrap()
-                .as_deref(),
+            poll.recv_deadline(t, DEADLINE).unwrap().as_deref(),
             Some("last-without-newline")
         );
-        assert_eq!(poll.recv_deadline(t, Duration::from_secs(5)).unwrap(), None);
+        assert_eq!(poll.recv_deadline(t, DEADLINE).unwrap(), None);
     }
 
     #[test]
@@ -570,14 +505,8 @@ mod tests {
         // Both exchanges in flight at once; consume in reverse order.
         poll.send(t1, "ping").unwrap();
         poll.send(t2, "ping").unwrap();
-        let r2 = poll
-            .recv_deadline(t2, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
-        let r1 = poll
-            .recv_deadline(t1, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
+        let r2 = poll.recv_deadline(t2, DEADLINE).unwrap().unwrap();
+        let r1 = poll.recv_deadline(t1, DEADLINE).unwrap().unwrap();
         // Peers are accepted in connect order but either may be s1.
         let mut got = [r1, r2];
         got.sort();

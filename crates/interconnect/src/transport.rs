@@ -170,10 +170,13 @@ impl From<io::Error> for AcceptError {
 /// multiplexed driver) that hand the stream to a
 /// [`crate::poll::PollTransport`] instead of framing it here.
 ///
-/// The listener is temporarily switched to non-blocking mode and
-/// restored before returning; the accepted stream is explicitly set
-/// blocking (non-blocking inheritance across `accept` is
-/// platform-dependent).
+/// A helper thread makes one blocking `accept` while the caller waits on
+/// its channel, so the call returns as soon as a peer connects. On
+/// timeout the caller dials the listener itself to release the helper
+/// and closes that connection. A peer that connects in the same instant
+/// wins the helper's `accept` and is returned instead; the closed
+/// release connection then stays queued on the listener. The listener
+/// is left in blocking mode.
 ///
 /// # Errors
 ///
@@ -183,27 +186,35 @@ pub fn tcp_accept_stream(
     listener: &TcpListener,
     timeout: Duration,
 ) -> Result<TcpStream, AcceptError> {
-    listener.set_nonblocking(true)?;
     let start = Instant::now();
-    let outcome = loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => break Ok(stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if start.elapsed() >= timeout {
-                    break Err(AcceptError::Timeout {
-                        waited: start.elapsed(),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => break Err(AcceptError::Io(e)),
+    let clone = listener.try_clone()?;
+    clone.set_nonblocking(false)?;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(clone.accept().map(|(stream, _peer)| stream));
+    });
+    let (accepted, release) = match rx.recv_timeout(timeout) {
+        Ok(accepted) => (accepted, None),
+        Err(_) => {
+            // If this dial fails, the helper stays blocked on its clone.
+            let release = TcpStream::connect(listener.local_addr()?)?;
+            let accepted = rx
+                .recv()
+                .map_err(|_| io::Error::other("accept helper exited without a result"))?;
+            (accepted, Some(release))
         }
     };
-    // Restore the listener for any later (possibly blocking) caller.
-    listener.set_nonblocking(false)?;
-    let stream = outcome?;
-    stream.set_nonblocking(false)?;
+    helper
+        .join()
+        .map_err(|_| io::Error::other("accept helper panicked"))?;
+    let stream = accepted?;
+    if let Some(release) = release {
+        if stream.peer_addr()? == release.local_addr()? {
+            return Err(AcceptError::Timeout {
+                waited: start.elapsed(),
+            });
+        }
+    }
     stream.set_nodelay(true)?;
     Ok(stream)
 }
